@@ -167,15 +167,21 @@ cmp "$SYN_SMOKE_DIR/saturation.csv" crates/report/tests/golden/synmini/saturatio
 # intra-run partitioning — the canonical file and the metrics sidecar
 # must be byte-identical (partitioning is a pure wall-time knob). The
 # spec exercises both new axes: an explicit `xpipes:WxH` fabric and the
-# `--mesh-sizes` append.
+# `--mesh-sizes` append. Hotspot traffic, bursts and a near-saturation
+# rate make routers arbitrate among several heads and continue owned
+# packets. The serial files must also match checked-in goldens, which
+# pins router arbitration and the conflict counts of the sidecar.
 echo "==> partition smoke: --sim-threads 4 is byte-identical"
 PART_SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$PART_SMOKE_DIR"' EXIT
 PSWEEP="timeout 300 ./target/release/ntg-sweep --workloads synthetic:48 \
     --cores 4 --fabrics xpipes:4x4 --mesh-sizes 6x6 --masters synthetic \
-    --patterns transpose --shapes bernoulli --rates 0.1 --no-store --quiet"
+    --patterns transpose,hotspot:20 --shapes bernoulli,burst:4 --rates 0.1,0.4 \
+    --no-store --quiet"
 $PSWEEP --out "$PART_SMOKE_DIR/serial.jsonl" --sim-threads 1 > /dev/null
 $PSWEEP --out "$PART_SMOKE_DIR/banded.jsonl" --sim-threads 4 > /dev/null
+cmp "$PART_SMOKE_DIR/serial.jsonl" crates/report/tests/data/meshsmoke.jsonl
+cmp "$PART_SMOKE_DIR/serial.jsonl.metrics.jsonl" crates/report/tests/data/meshsmoke.jsonl.metrics.jsonl
 cmp "$PART_SMOKE_DIR/serial.jsonl" "$PART_SMOKE_DIR/banded.jsonl"
 # The timings sidecar is allowed to differ (it records sim_threads and
 # wall time); the metrics sidecar carries simulation results only.

@@ -10,16 +10,32 @@
 //!
 //! Runs only under `--features alloc-count` (CI's bench-smoke stage does
 //! so); without the feature the file compiles to nothing.
+//!
+//! The counter is global and the test harness runs tests on parallel
+//! threads, so every test holds [`MEASURE`] for its whole body: a
+//! neighbouring test's set-up must not land in another's measured
+//! window.
 
 #![cfg(feature = "alloc-count")]
+
+use std::sync::{Mutex, MutexGuard};
 
 use ntg_bench::{alloc_count, trace_and_translate};
 use ntg_platform::InterconnectChoice;
 use ntg_workloads::synthetic::{build_synthetic_platform, SyntheticSpec};
 use ntg_workloads::Workload;
 
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Serialises the tests of this binary; a poisoned lock only means an
+/// earlier test failed, which does not invalidate the next measurement.
+fn measure_alone() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn steady_state_ticks_do_not_allocate() {
+    let _alone = measure_alone();
     let workload = Workload::Cacheloop { iterations: 5_000 };
     let cores = 2;
     let images = trace_and_translate(workload, cores, InterconnectChoice::Amba);
@@ -53,6 +69,7 @@ fn steady_state_ticks_do_not_allocate() {
 
 #[test]
 fn steady_state_ticks_do_not_allocate_with_metrics_enabled() {
+    let _alone = measure_alone();
     // The opt-in metrics layer must stay counters-only on the hot
     // path: the windowed utilization series pre-allocates its buffer
     // when enabled and merges windows in place at capacity, so sampling
@@ -87,6 +104,7 @@ fn steady_state_ticks_do_not_allocate_with_metrics_enabled() {
 
 #[test]
 fn synthetic_steady_state_ticks_do_not_allocate() {
+    let _alone = measure_alone();
     // SyntheticTg generates traffic straight from its PRNG: no trace,
     // no program, no translation. With ≤4-word packets every payload
     // stays in the inline `DataWords` representation, so the generator
@@ -119,6 +137,7 @@ fn synthetic_steady_state_ticks_do_not_allocate() {
 
 #[test]
 fn two_platforms_on_two_threads_stay_allocation_free() {
+    let _alone = measure_alone();
     // The arena data plane makes a platform a plain `Send` value, so
     // campaign workers run whole platforms on worker threads. The
     // zero-steady-state-allocation property must hold there too — and

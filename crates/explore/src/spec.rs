@@ -17,7 +17,7 @@
 
 use ntg_core::rng::derive_seed;
 use ntg_core::TranslationMode;
-use ntg_platform::InterconnectChoice;
+use ntg_platform::{parse_mesh_dims, InterconnectChoice};
 use ntg_workloads::synthetic::{Pattern, ShapeKind, SyntheticSpec};
 use ntg_workloads::Workload;
 
@@ -367,17 +367,7 @@ impl CampaignSpec {
             let dims: Vec<String> = parse_axis(m, "mesh_sizes")?;
             spec.mesh_sizes = dims
                 .iter()
-                .map(|d| {
-                    let (w, h) = d
-                        .split_once('x')
-                        .ok_or_else(|| format!("spec: mesh size `{d}` is not WxH"))?;
-                    Ok((
-                        w.parse()
-                            .map_err(|_| format!("spec: mesh width in `{d}`"))?,
-                        h.parse()
-                            .map_err(|_| format!("spec: mesh height in `{d}`"))?,
-                    ))
-                })
+                .map(|d| parse_mesh_dims(d).map_err(|e| format!("spec: {e}")))
                 .collect::<Result<_, String>>()?;
         }
         if let Some(m) = v.get("masters") {
@@ -750,12 +740,16 @@ mod tests {
         assert_eq!(spec.workloads, vec![Workload::SpMatrix { n: 4 }]);
 
         for bad in [
-            r#"{"workloads":[]}"#,                   // no name
-            r#"{"name":"x","workloads":["nope"]}"#,  // bad workload
-            r#"{"name":"x","cores":[0]}"#,           // zero cores
-            r#"{"name":"x","mesh_sizes":["4by4"]}"#, // bad mesh dims
-            r#"{"name":"x","rates":["fast"]}"#,      // non-numeric rate
-            r#"{"name":"x","repeats":0}"#,           // zero repeats
+            r#"{"workloads":[]}"#,                      // no name
+            r#"{"name":"x","workloads":["nope"]}"#,     // bad workload
+            r#"{"name":"x","cores":[0]}"#,              // zero cores
+            r#"{"name":"x","mesh_sizes":["4by4"]}"#,    // bad mesh dims
+            r#"{"name":"x","mesh_sizes":["0x4"]}"#,     // empty mesh
+            r#"{"name":"x","mesh_sizes":["256x256"]}"#, // side above 255
+            r#"{"name":"x","mesh_sizes":["300x300"]}"#, // would wrap u16 nodes
+            r#"{"name":"x","interconnects":["xpipes:300x300"]}"#,
+            r#"{"name":"x","rates":["fast"]}"#, // non-numeric rate
+            r#"{"name":"x","repeats":0}"#,      // zero repeats
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(CampaignSpec::from_json(&v).is_err(), "{bad}");

@@ -103,6 +103,14 @@ impl XpipesConfig {
             self.width >= 1 && self.height >= 1,
             "mesh must be non-empty"
         );
+        // Node ids are `u16`: a bigger mesh would silently wrap.
+        assert!(
+            u32::from(self.width) * u32::from(self.height) <= u32::from(u16::MAX),
+            "{}x{} mesh has more than {} nodes",
+            self.width,
+            self.height,
+            u16::MAX,
+        );
         assert!(
             self.input_fifo_flits >= 1,
             "FIFOs must hold at least one flit"
@@ -773,29 +781,33 @@ impl XpipesNoc {
 
     /// Switch stage: move one flit per input from input FIFOs into output
     /// registers, wormhole style.
+    ///
+    /// Route computation runs once per input head: `wants[p]` is the
+    /// bitmask of inputs whose head flit routes to output `p`. Outputs
+    /// are then resolved independently, which is exact because a head
+    /// can only leave through the output it routes to, and an owning
+    /// input's front is never a head (a packet's flits reach an input
+    /// contiguously), so no input is ever claimed by two outputs.
     fn switch_stage(&mut self) {
         // Switching moves flits within one router, so the worklist
         // cannot grow mid-pass.
         for idx in 0..self.active.len() {
             let r = self.active[idx] as usize;
             let node = self.node_base + r as u16;
-            let mut input_used = [false; 5];
-            for p in 0..5 {
-                let want = |flit: &Flit, me: &Self| me.route(node, flit.dst) == p;
-                // Heads currently requesting this output; every head that
-                // does not advance this cycle is a contention event
-                // (blocked by the output register, an owning packet, or a
-                // lost arbitration round).
-                let wanters = (0..5)
-                    .filter(|&inp| {
-                        !input_used[inp]
-                            && matches!(
-                                self.routers[r].inputs[inp].front(),
-                                Some(f) if f.is_head && want(f, self)
-                            )
-                    })
-                    .count() as u64;
-                let router = &mut self.routers[r];
+            let mut wants = [0u8; 5];
+            for inp in 0..5 {
+                if let Some(f) = self.routers[r].inputs[inp].front() {
+                    if f.is_head {
+                        wants[self.route(node, f.dst)] |= 1 << inp;
+                    }
+                }
+            }
+            let router = &mut self.routers[r];
+            for (p, &mask) in wants.iter().enumerate() {
+                // Every head that does not advance this cycle is a
+                // contention event (blocked by the output register, an
+                // owning packet, or a lost arbitration round).
+                let wanters = u64::from(mask.count_ones());
                 if router.out_reg[p].is_some() {
                     self.conflicts += wanters;
                     continue;
@@ -803,40 +815,29 @@ impl XpipesNoc {
                 // Continue an owned packet first.
                 if let Some(owner) = router.out_owner[p] {
                     self.conflicts += wanters;
-                    if input_used[owner] {
-                        continue;
-                    }
-                    if let Some(&flit) = router.inputs[owner].front() {
-                        debug_assert!(!flit.is_head || router.out_owner[p].is_some());
-                        router.inputs[owner].pop_front();
+                    if let Some(flit) = router.inputs[owner].pop_front() {
+                        debug_assert!(!flit.is_head, "owning input fronted by a head");
                         router.out_reg[p] = Some(flit);
-                        input_used[owner] = true;
                         if flit.is_tail {
                             router.out_owner[p] = None;
                         }
                     }
                     continue;
                 }
-                // Otherwise arbitrate among heads requesting this output.
-                self.conflicts += wanters.saturating_sub(1);
-                let start = self.routers[r].rr[p];
-                let claimed = (0..5).map(|k| (start + k) % 5).find(|&inp| {
-                    !input_used[inp]
-                        && matches!(
-                            self.routers[r].inputs[inp].front(),
-                            Some(f) if f.is_head && want(f, self)
-                        )
-                });
-                if let Some(inp) = claimed {
-                    let router = &mut self.routers[r];
-                    let flit = router.inputs[inp].pop_front().expect("front checked");
-                    router.out_reg[p] = Some(flit);
-                    input_used[inp] = true;
-                    if !flit.is_tail {
-                        router.out_owner[p] = Some(inp);
-                    }
-                    router.rr[p] = (inp + 1) % 5;
+                if mask == 0 {
+                    continue;
                 }
+                // Otherwise grant the first requesting input at or after
+                // the round-robin pointer.
+                self.conflicts += wanters - 1;
+                let rotated = (u16::from(mask) | u16::from(mask) << 5) >> router.rr[p];
+                let inp = (router.rr[p] + rotated.trailing_zeros() as usize) % 5;
+                let flit = router.inputs[inp].pop_front().expect("head checked");
+                router.out_reg[p] = Some(flit);
+                if !flit.is_tail {
+                    router.out_owner[p] = Some(inp);
+                }
+                router.rr[p] = (inp + 1) % 5;
             }
         }
     }
@@ -1445,6 +1446,10 @@ mod tests {
         assert!(u32::from(cfg.nodes()) >= 26);
         assert_eq!(cfg.master_nodes.len(), 12);
         assert_eq!(cfg.slave_nodes.len(), 14);
+        let cfg = XpipesConfig::auto(1, 2);
+        assert_eq!((cfg.width, cfg.height), (2, 2));
+        let cfg = XpipesConfig::auto(5, 4);
+        assert_eq!((cfg.width, cfg.height), (3, 3), "9 NIs need a 3x3 mesh");
     }
 
     #[test]
@@ -1575,18 +1580,60 @@ mod tests {
         assert!(r.noc.is_idle(&r.links));
     }
 
+    /// A mesh with no NIs attached: enough to query its topology.
+    fn bare_mesh(width: u16, height: u16) -> XpipesNoc {
+        let cfg = XpipesConfig {
+            width,
+            height,
+            master_nodes: vec![],
+            slave_nodes: vec![],
+            input_fifo_flits: 4,
+        };
+        XpipesNoc::new("bare", vec![], vec![], Arc::new(AddressMap::new()), cfg)
+    }
+
     #[test]
     fn xy_routing_goes_x_first() {
-        // 3×3 mesh; master at node 0 (0,0), slaves at nodes 4 (1,1) and
-        // 8 (2,2). The route function is internal, but its effect is
-        // observable: traffic to both slaves must arrive (tested above);
-        // here we check the topology helpers via auto-config shapes.
-        let cfg = XpipesConfig::auto(1, 2);
-        assert_eq!(cfg.width, 2);
-        assert_eq!(cfg.height, 2);
-        let cfg = XpipesConfig::auto(5, 4);
-        assert_eq!(cfg.width, 3, "9 NIs need a 3-wide mesh");
-        assert_eq!(cfg.height, 3);
+        for (w, h) in [(3u16, 3u16), (4, 2)] {
+            let noc = bare_mesh(w, h);
+            let xy = |n: u16| (i32::from(n % w), i32::from(n / w));
+            for src in 0..w * h {
+                for dst in 0..w * h {
+                    let ((sx, sy), (dx, dy)) = (xy(src), xy(dst));
+                    // X hops first, then Y hops, then the local port.
+                    let x_port = if dx > sx { EAST } else { WEST };
+                    let y_port = if dy > sy { SOUTH } else { NORTH };
+                    let mut expected = vec![x_port; dx.abs_diff(sx) as usize];
+                    expected.extend(vec![y_port; dy.abs_diff(sy) as usize]);
+                    expected.push(LOCAL);
+                    let (mut node, mut taken) = (src, Vec::new());
+                    loop {
+                        let p = noc.route(node, dst);
+                        taken.push(p);
+                        if p == LOCAL {
+                            break;
+                        }
+                        node = noc.neighbor(node, p);
+                    }
+                    assert_eq!(taken, expected, "{w}x{h}: {src} -> {dst}");
+                    assert_eq!(node, dst, "{w}x{h}: {src} -> {dst} ends at its target");
+                }
+            }
+            for n in 0..w * h {
+                let (x, y) = xy(n);
+                for (p, inside) in [
+                    (NORTH, y > 0),
+                    (SOUTH, y + 1 < i32::from(h)),
+                    (EAST, x + 1 < i32::from(w)),
+                    (WEST, x > 0),
+                ] {
+                    if inside {
+                        let back = noc.neighbor(noc.neighbor(n, p), opposite(p));
+                        assert_eq!(back, n, "{w}x{h}: node {n} port {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1672,6 +1719,24 @@ mod tests {
         assert_eq!(c.grant_wait.count(), 2);
         assert!(c.conflicts >= 1, "wormhole blocking must be visible");
         assert_eq!(r.noc.utilization_cycles(), r.noc.stats().flit_hops);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65535 nodes")]
+    fn mesh_with_more_nodes_than_ids_rejected() {
+        // 300×300 = 90 000 nodes, which `u16` node ids would wrap.
+        let cfg = XpipesConfig {
+            width: 300,
+            height: 300,
+            master_nodes: vec![0],
+            slave_nodes: vec![1],
+            input_fifo_flits: 4,
+        };
+        let map = Arc::new(AddressMap::new());
+        let mut links = LinkArena::new();
+        let (_, s) = links.channel("cpu", MasterId(0));
+        let (m, _) = links.channel("slave", MasterId(0));
+        let _ = XpipesNoc::new("huge", vec![s], vec![m], map, cfg);
     }
 
     #[test]

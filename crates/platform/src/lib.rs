@@ -31,7 +31,7 @@ mod platform;
 mod report;
 
 pub use platform::{
-    InterconnectChoice, MasterCtx, MasterFactory, MasterKind, Platform, PlatformBuilder,
-    PlatformError, PlatformMaster, TraceTranslationError, ALL_INTERCONNECTS,
+    parse_mesh_dims, InterconnectChoice, MasterCtx, MasterFactory, MasterKind, Platform,
+    PlatformBuilder, PlatformError, PlatformMaster, TraceTranslationError, ALL_INTERCONNECTS,
 };
 pub use report::{MasterReport, MetricsReport, PartitionReport, RunReport};

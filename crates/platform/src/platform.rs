@@ -57,6 +57,36 @@ impl fmt::Display for InterconnectChoice {
     }
 }
 
+/// Largest mesh side the textual `WxH` forms accept. 255×255 = 65 025
+/// nodes, so every node index fits the fabric's `u16` node ids.
+const MAX_MESH_DIM: u16 = 255;
+
+/// Parses a `WxH` mesh size with both sides in `1..=255`.
+///
+/// The one parser behind `xpipes:WxH` fabric names, `ntg-sweep
+/// --mesh-sizes` and a campaign spec's `mesh_sizes`.
+///
+/// # Errors
+///
+/// Returns a description naming `s` when it is not `WxH` or a side is
+/// out of range.
+pub fn parse_mesh_dims(s: &str) -> Result<(u16, u16), String> {
+    let side = |d: &str| {
+        d.parse::<u16>()
+            .ok()
+            .filter(|n| (1..=MAX_MESH_DIM).contains(n))
+    };
+    match s.split_once('x') {
+        None => Err(format!("mesh size `{s}` is not WxH")),
+        Some((w, h)) => match (side(w), side(h)) {
+            (Some(w), Some(h)) => Ok((w, h)),
+            _ => Err(format!(
+                "mesh size `{s}`: sides must be in 1..={MAX_MESH_DIM}"
+            )),
+        },
+    }
+}
+
 impl std::str::FromStr for InterconnectChoice {
     type Err = String;
 
@@ -64,14 +94,7 @@ impl std::str::FromStr for InterconnectChoice {
     /// `xpipes`, `xpipes:WxH`, `crossbar`, `ideal`).
     fn from_str(s: &str) -> Result<Self, String> {
         if let Some(dims) = s.strip_prefix("xpipes:") {
-            let (w, h) = dims
-                .split_once('x')
-                .ok_or_else(|| format!("mesh dims `{dims}` are not WxH"))?;
-            let w: u16 = w.parse().map_err(|_| format!("bad mesh width `{w}`"))?;
-            let h: u16 = h.parse().map_err(|_| format!("bad mesh height `{h}`"))?;
-            if w == 0 || h == 0 {
-                return Err(format!("mesh `{dims}` must be non-empty"));
-            }
+            let (w, h) = parse_mesh_dims(dims)?;
             return Ok(InterconnectChoice::Mesh(w, h));
         }
         match s {
@@ -1367,6 +1390,21 @@ mod tests {
             rb.0.execution_time(),
             "identical workloads must time identically regardless of thread"
         );
+    }
+
+    #[test]
+    fn mesh_sizes_parse_once_with_bounded_sides() {
+        assert_eq!(parse_mesh_dims("255x255"), Ok((255, 255)));
+        assert_eq!(
+            "xpipes:8x4".parse::<InterconnectChoice>(),
+            Ok(InterconnectChoice::Mesh(8, 4))
+        );
+        // 300x300 used to wrap to 24 464 routers under a correct label.
+        for bad in ["0x4", "4x0", "256x256", "300x300", "4by4", "x4", "-1x4"] {
+            assert!(parse_mesh_dims(bad).is_err(), "{bad}");
+            let fabric = format!("xpipes:{bad}");
+            assert!(fabric.parse::<InterconnectChoice>().is_err(), "{fabric}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use ntg_explore::{
     collect_shard_files, merge_shards, run_campaign, shard_path, CampaignSpec, CoreSelection,
     DiskStore, Json, MasterChoice, RunOptions,
 };
-use ntg_platform::{InterconnectChoice, ALL_INTERCONNECTS};
+use ntg_platform::{parse_mesh_dims, InterconnectChoice, ALL_INTERCONNECTS};
 use ntg_serve::{http, normalize_addr, HttpRemote};
 use ntg_workloads::synthetic::{Pattern, ShapeKind};
 use ntg_workloads::Workload;
@@ -66,8 +66,8 @@ OPTIONS:
     --fabrics LIST|all   interconnects to evaluate (amba, amba-fixed,
                          crossbar, xpipes, xpipes:WxH, ideal)
     --mesh-sizes LIST    explicit xpipes mesh dimensions appended to the
-                         fabric axis, e.g. 4x4,8x8,16x16 (meshes too small
-                         for a job's core count are skipped)
+                         fabric axis, e.g. 4x4,8x8,16x16, sides 1..=255
+                         (meshes too small for a job's core count are skipped)
     --masters LIST       master kinds: cpu, tg, stochastic, synthetic
     --modes LIST         translation modes for TG jobs: clone, timeshift, reactive
     --patterns LIST      synthetic destination patterns: uniform, complement,
@@ -352,7 +352,9 @@ fn parse_axis_flag(
         }
         "--mesh-sizes" => {
             spec.get_or_insert_with(default_spec).mesh_sizes =
-                parse_list(&take(it, "--mesh-sizes")?, parse_mesh_size)?;
+                parse_list(&take(it, "--mesh-sizes")?, |s| {
+                    parse_mesh_dims(s).map_err(|e| format!("--mesh-sizes: {e}"))
+                })?;
         }
         "--masters" => {
             spec.get_or_insert_with(default_spec).masters =
@@ -822,21 +824,6 @@ fn hit_char(hit: bool) -> char {
 
 fn default_spec() -> CampaignSpec {
     CampaignSpec::new("sweep")
-}
-
-/// Parses `WxH` for `--mesh-sizes` (both dimensions in 1..=255).
-fn parse_mesh_size(s: &str) -> Result<(u16, u16), String> {
-    let (w, h) = s
-        .split_once('x')
-        .ok_or(format!("--mesh-sizes: expected WxH, got `{s}`"))?;
-    let w: u16 = w.parse().map_err(|e| format!("--mesh-sizes: {e}"))?;
-    let h: u16 = h.parse().map_err(|e| format!("--mesh-sizes: {e}"))?;
-    if w == 0 || h == 0 || w > 255 || h > 255 {
-        return Err(format!(
-            "--mesh-sizes: dimensions must be in 1..=255, got {w}x{h}"
-        ));
-    }
-    Ok((w, h))
 }
 
 fn parse_list<T>(s: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {

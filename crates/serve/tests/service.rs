@@ -410,3 +410,41 @@ fn store_endpoint_is_write_once_and_rejects_garbage() {
         "traversal is rejected ({status})"
     );
 }
+
+#[test]
+fn out_of_range_mesh_sizes_are_rejected_on_every_entry_point() {
+    let bad_dims = ["0x4", "256x256", "300x300"];
+    // The daemon: a POSTed spec naming a bad mesh is a client error.
+    let dir = scratch("mesh-bounds");
+    let daemon = Daemon::start(&dir.join("data"), 1);
+    for d in bad_dims {
+        for body in [
+            format!(r#"{{"name":"m","mesh_sizes":["{d}"]}}"#),
+            format!(r#"{{"name":"m","interconnects":["xpipes:{d}"]}}"#),
+        ] {
+            let (status, reply) = http::post_json(&daemon.addr, "/jobs", &body).unwrap();
+            assert!(
+                (400..500).contains(&status),
+                "{body}: {status} {}",
+                String::from_utf8_lossy(&reply)
+            );
+        }
+    }
+    // The CLI: both mesh flags fail with a one-line error, exit 1.
+    for d in bad_dims {
+        for args in [
+            ["--fabrics".to_string(), format!("xpipes:{d}")],
+            ["--mesh-sizes".to_string(), d.to_string()],
+        ] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_ntg-sweep"))
+                .args(["--workloads", "synthetic:8", "--masters", "synthetic"])
+                .args(&args)
+                .arg("--dry-run")
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.contains("1..=255"), "{args:?}: {err}");
+        }
+    }
+}
